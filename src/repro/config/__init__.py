@@ -8,9 +8,7 @@ Two pieces:
   runner (``run_cells(config=...)``).
 * :func:`env` — the single validated context manager behind every
   ``REPRO_*`` environment knob (scheduler backend, routing policy,
-  telemetry mode and directory).  The historical per-subsystem helpers
-  (``repro.sim.sched.scheduler_env``, ``repro.routing.routing_env``) are
-  thin deprecation shims over it.
+  telemetry mode and directory, lossless fabric, shard count).
 
 Name registries are re-exported here so callers can enumerate every
 selection surface from one import::
@@ -22,8 +20,6 @@ from ..obs.session import TELEMETRY_MODES
 from ..routing import ROUTING_NAMES
 from ..sim.sched import SCHEDULER_NAMES
 from .envvars import (
-    BATCH_ENV_VAR,
-    COMPILED_ENV_VAR,
     KNOBS,
     LOSSLESS_ENV_VAR,
     LOSSLESS_MODES,
@@ -33,8 +29,6 @@ from .envvars import (
     TELEMETRY_DIR_ENV_VAR,
     TELEMETRY_ENV_VAR,
     EnvKnob,
-    batch_mode,
-    compiled_mode,
     current,
     env,
     lossless_mode,
@@ -57,8 +51,6 @@ __all__ = [
     "telemetry_mode",
     "telemetry_dir",
     "lossless_mode",
-    "batch_mode",
-    "compiled_mode",
     "shard_count",
     "SCHEDULER_NAMES",
     "ROUTING_NAMES",
@@ -69,7 +61,5 @@ __all__ = [
     "TELEMETRY_ENV_VAR",
     "TELEMETRY_DIR_ENV_VAR",
     "LOSSLESS_ENV_VAR",
-    "BATCH_ENV_VAR",
-    "COMPILED_ENV_VAR",
     "SHARDS_ENV_VAR",
 ]

@@ -1,13 +1,8 @@
 """The validated ``REPRO_*`` environment surface, in one place.
 
-Three subsystems grew the same copy-pasted pattern — a validated
-environment default plus a save/restore context manager
-(``REPRO_SCHEDULER``/``scheduler_env``, ``REPRO_ROUTING``/``routing_env``,
-and telemetry was about to be the third).  This module consolidates them:
-one knob table (:data:`KNOBS`), one validated reader (:func:`current`),
+One knob table (:data:`KNOBS`), one validated reader (:func:`current`),
 and one shared context manager (:func:`env`) that pins any subset of the
-knobs at once.  The old per-subsystem entry points survive as thin
-deprecation shims delegating here.
+knobs at once.
 
 Environment variables exist for code paths that build their own
 :class:`~repro.sim.engine.Simulator` or :class:`~repro.net.network.
@@ -31,12 +26,7 @@ ROUTING_ENV_VAR = "REPRO_ROUTING"
 TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 TELEMETRY_DIR_ENV_VAR = "REPRO_TELEMETRY_DIR"
 LOSSLESS_ENV_VAR = "REPRO_LOSSLESS"
-BATCH_ENV_VAR = "REPRO_BATCH"
-COMPILED_ENV_VAR = "REPRO_COMPILED"
 SHARDS_ENV_VAR = "REPRO_SHARDS"
-
-# Two-state switches share one value vocabulary.
-ONOFF: Tuple[str, ...] = ("on", "off")
 
 # Defined here rather than imported from repro.net.pfc: the config layer
 # must stay importable without pulling in the datapath (and net imports
@@ -99,12 +89,6 @@ KNOBS: Dict[str, EnvKnob] = {
     "lossless": EnvKnob(
         LOSSLESS_ENV_VAR, "off", LOSSLESS_MODES, "lossless fabric mode"
     ),
-    "batch": EnvKnob(
-        BATCH_ENV_VAR, "on", ONOFF, "hot-loop batching mode"
-    ),
-    "compiled": EnvKnob(
-        COMPILED_ENV_VAR, "off", ONOFF, "compiled kernel core mode"
-    ),
     "shards": EnvKnob(
         SHARDS_ENV_VAR,
         "",  # unset: serial, single-simulator runs
@@ -153,16 +137,6 @@ def lossless_mode() -> str:
     return current("lossless")
 
 
-def batch_mode() -> str:
-    """Effective hot-loop batching mode (``on`` when unset)."""
-    return current("batch")
-
-
-def compiled_mode() -> str:
-    """Effective compiled-core mode (``off`` when unset)."""
-    return current("compiled")
-
-
 def shard_count() -> Optional[int]:
     """Requested shard count, or None for serial (the default)."""
     value = current("shards")
@@ -199,8 +173,6 @@ def env(
     telemetry: Optional[str] = None,
     telemetry_dir: Optional[str] = None,
     lossless: Optional[str] = None,
-    batch: Optional[str] = None,
-    compiled: Optional[str] = None,
     shards: Optional[str] = None,
 ) -> _EnvContext:
     """Pin any subset of the ``REPRO_*`` knobs while a block runs.
@@ -217,8 +189,6 @@ def env(
         "telemetry": telemetry,
         "telemetry_dir": telemetry_dir,
         "lossless": lossless,
-        "batch": batch,
-        "compiled": compiled,
         "shards": shards,
     }
     pins: Dict[str, str] = {}

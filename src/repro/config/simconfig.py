@@ -42,16 +42,12 @@ class SimConfig:
     telemetry: Optional[str] = None
     telemetry_dir: Optional[str] = None
     lossless: Optional[str] = None
-    batch: Optional[str] = None
-    compiled: Optional[str] = None
     #: Shard count for single-simulation parallelism (repro.sim.shard);
     #: None = serial.  Carried as an int; exported as ``REPRO_SHARDS``.
     shards: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for knob in (
-            "scheduler", "routing", "telemetry", "lossless", "batch", "compiled"
-        ):
+        for knob in ("scheduler", "routing", "telemetry", "lossless"):
             value = getattr(self, knob)
             if value is not None:
                 KNOBS[knob].validate(value)
@@ -74,8 +70,6 @@ class SimConfig:
             telemetry=current("telemetry"),
             telemetry_dir=current("telemetry_dir") or None,
             lossless=current("lossless"),
-            batch=current("batch"),
-            compiled=current("compiled"),
             shards=shard_count(),
         )
 
@@ -119,8 +113,6 @@ class SimConfig:
             telemetry=self.telemetry,
             telemetry_dir=self.telemetry_dir,
             lossless=self.lossless,
-            batch=self.batch,
-            compiled=self.compiled,
             shards=None if self.shards is None else str(self.shards),
         )
 

@@ -110,10 +110,7 @@ class BfcQueue(DropTailQueue):
     """Per-flow FIFOs with deterministic round-robin and pause state.
 
     Subclassing :class:`DropTailQueue` keeps the byte accounting, drop
-    counters and loss-model hook every port expects; overriding
-    ``dequeue`` automatically keeps the port on the strictly serial TX
-    path (``Network.cable`` only enables the burst chain for stock
-    dequeue semantics).
+    counters and loss-model hook every port expects.
 
     Determinism is structural: the round-robin ring is a deque ordered
     by first arrival, rotation happens only in ``dequeue``, and pause
@@ -337,15 +334,13 @@ class BfcFabric:
         # Host NICs get per-flow queues too: the final pause hop lands in
         # the sender's own NIC queue, flow by flow, leaving other flows
         # from the same host untouched.  Installed before traffic, so
-        # swapping the (empty) queue is safe; the overridden dequeue
-        # keeps the port off the burst chain.
+        # swapping the (empty) queue is safe.
         for host in network.hosts:
             host.nic_agents_installed = True
             for port in host.ports:
                 if isinstance(port.queue, BfcQueue):
                     continue  # idempotent re-install
                 port.queue = BfcQueue(network.host_buffer_bytes, self.params)
-                port.burst_enabled = False
                 port.agent = BfcHostAgent(port, self)
 
     def _wire(self, switch: "Switch", queue: BfcQueue) -> None:

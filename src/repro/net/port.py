@@ -6,32 +6,12 @@ finished frames to the :class:`Link`, which delivers them to the peer node
 after the propagation delay.  Store-and-forward behaviour (the paper's
 NetFPGA switches, and the reason RTT depends on frame size) falls out
 naturally: a node only sees a packet once the whole frame has been received.
-
-Burst drain (``REPRO_BATCH``, default on; full invariants in DESIGN.md
-§6h): when the port starts transmitting with more frames queued behind the
-head, it precomputes the whole back-to-back run's serialisation schedule
-once (sum of per-frame ceils — exactly the serial schedule) and services
-the run through :meth:`Port._continue_burst`, a lean chained completion
-that replaces the general ``_finish_tx``/``_start_next`` pair per frame.
-The chain is *bit-exact* with the serial path by construction: it makes
-the same ``schedule()`` calls, in the same order, at the same dispatch
-points — so sequence-number allocation, same-nanosecond tie-breaking, and
-every publicly observable queue/counter state are identical with batching
-on or off.  (A stronger drain that elides the per-frame completion events
-entirely was measured to reorder same-nanosecond deliveries — see §6h —
-and is therefore not offered.)  Interactions dissolve the chain at its
-next completion boundary: pause/XOFF and link cuts are re-checked every
-completion exactly as the serial path would, and a rate change marks the
-chain dirty via :meth:`Port.flush_burst` so the remaining frames fall back
-to freshly computed serial times.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
-from ..sim import core as _core
 from ..sim.engine import Simulator
 from ..sim.trace import PACKET_DROP, Tracer
 from ..sim.units import transmission_time_ns
@@ -40,17 +20,6 @@ from .queues import DropTailQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .node import Node
-
-#: Chain-formation thresholds (pure tuning — the chain is bit-exact with
-#: the serial path wherever it engages, so these trade setup cost against
-#: per-frame savings without any behavioural effect).  Token-paced
-#: protocols mostly queue 2-3 back-to-back frames, too few to amortise
-#: the snapshot + schedule precompute, so short runs stay serial; the cap
-#: bounds the snapshot copy on deep (host software) queues — a capped
-#: chain simply re-forms from ``_start_next`` when it drains.
-BURST_MIN_QUEUED = 4
-BURST_CAP = 64
-
 
 class Link:
     """One direction of a cable: nominal rate and propagation delay.
@@ -100,8 +69,8 @@ class Link:
         self.effective_rate_bps = rate_bps
         self.faulted_frames = 0
         # Transmitting Port feeding this direction (set when one attaches):
-        # rate changes must invalidate its tx-time cache and dissolve any
-        # in-flight burst chain before the new rate takes effect.
+        # rate changes must invalidate its tx-time cache before the new
+        # rate takes effect.
         self.owner: Optional["Port"] = None
 
     @property
@@ -119,7 +88,6 @@ class Link:
         owner = self.owner
         if owner is not None:
             owner._tx_cache.clear()
-            owner.flush_burst()
 
     def degrade(self, factor: float) -> None:
         """Scale the serialisation rate by ``factor`` (0 < factor <= 1)."""
@@ -167,12 +135,7 @@ class Port:
         "paused",
         "tx_packets",
         "tx_bytes",
-        "burst_enabled",
         "_tx_cache",
-        "_b_pkts",
-        "_b_done",
-        "_b_next",
-        "_b_dirty",
     )
 
     def __init__(
@@ -194,30 +157,15 @@ class Port:
         self.agent = None  # set by protocols that need per-port state
         # Optional callable(packet) fired when a packet leaves the queue
         # to start serialising — the lossless fabric releases its ingress
-        # accounting here (the buffer slot is free once TX begins).  A
-        # port with this hook set keeps the general serial path so the
-        # hook's reentrancy (XON releases, cascaded pauses) is confined
-        # to one code path.
+        # accounting here (the buffer slot is free once TX begins).
         self.on_dequeue = None
         self._busy = False
         self.paused = False
         self.tx_packets = 0
         self.tx_bytes = 0
-        # Opt-in (Network.cable wires it from the batch knob): standalone
-        # ports keep the strictly serial path.
-        self.burst_enabled = False
         # frame_size -> serialisation ns at the current effective rate;
         # cleared by Link.rate_factor on any rate change.
         self._tx_cache: dict = {}
-        # Active burst chain (pkts is None outside one): the snapshot of
-        # back-to-back members, their precomputed completion times, the
-        # index of the member currently on the wire, and the dirty flag a
-        # mid-chain rate change raises.
-        self._b_pkts: Optional[list] = None
-        self._b_done: Optional[list] = None
-        self._b_next = 0
-        self._b_dirty = False
-
     @property
     def rate_bps(self) -> int:
         """Line rate of the attached link."""
@@ -246,9 +194,7 @@ class Port:
         """Stop starting new transmissions (host stall fault, PFC XOFF).
 
         A frame already on the wire finishes serialising; everything else
-        accumulates in the queue until :meth:`resume`.  An in-flight
-        burst chain observes the pause at the on-wire frame's completion,
-        exactly where the serial path would.
+        accumulates in the queue until :meth:`resume`.
         """
         self.paused = True
 
@@ -277,15 +223,7 @@ class Port:
         if self.paused:
             self._busy = False
             return
-        queue = self.queue
-        if (
-            self.burst_enabled
-            and len(queue._queue) >= BURST_MIN_QUEUED
-            and self.on_dequeue is None
-        ):
-            self._start_burst()
-            return
-        packet = queue.dequeue()
+        packet = self.queue.dequeue()
         if packet is None:
             self._busy = False
             return
@@ -315,89 +253,6 @@ class Port:
         else:
             link.faulted_frames += 1
         self._start_next()
-
-    # ------------------------------------------------------------------
-    # Burst drain (DESIGN.md §6h)
-    # ------------------------------------------------------------------
-    def _start_burst(self) -> None:
-        # Precompute the whole back-to-back run's completion schedule and
-        # hand it to the chained completion.  Bit-exactness contract with
-        # the serial path: this dispatch dequeues exactly the head frame
-        # and makes exactly one schedule() call, just like _start_next.
-        sim = self._sim
-        queue = self.queue
-        pkts = list(islice(queue._queue, BURST_CAP))
-        head = pkts[0]
-        queue._queue.popleft()
-        queue._bytes -= head.size
-        core = sim._core
-        if core is None:
-            core = _core
-        now = sim._now
-        dones = core.burst_times(
-            [p.frame_size for p in pkts], self.link.effective_rate_bps, now
-        )[1]
-        self._busy = True
-        self._b_pkts = pkts
-        self._b_done = dones
-        self._b_next = 0
-        self._b_dirty = False
-        sim.schedule(dones[0] - now, self._continue_burst)
-
-    def _continue_burst(self) -> None:
-        # Completion of chain member i — the fused, precomputed equivalent
-        # of _finish_tx + _start_next for the next member.  Makes the same
-        # schedule() calls in the same order (delivery first, then the
-        # next completion), so event sequence numbers — and therefore
-        # same-nanosecond tie-breaking — match the serial path exactly.
-        i = self._b_next
-        pkts = self._b_pkts
-        packet = pkts[i]
-        self.tx_packets += 1
-        self.tx_bytes += packet.frame_size
-        link = self.link
-        sim = self._sim
-        if link.up:
-            packet.hops += 1
-            sim.schedule(
-                link.delay_ns, link.dst_node.receive, packet, link.dst_port_index
-            )
-        else:
-            link.faulted_frames += 1
-        i += 1
-        if i < len(pkts) and not self.paused and not self._b_dirty:
-            # Start member i: dequeue it (it is still the physical queue
-            # head — later arrivals enqueue behind the snapshot) and chain
-            # the next completion at its precomputed finish time.
-            queue = self.queue
-            queue._queue.popleft()
-            queue._bytes -= pkts[i].size
-            self._b_next = i
-            sim.schedule(self._b_done[i] - sim._now, self._continue_burst)
-            return
-        # Chain dissolves: drained, paused, or dirtied by a rate change.
-        # _start_next re-evaluates the world exactly as the serial path
-        # would after a completion (fresh tx times at the current rate,
-        # pause check, possibly a new chain).
-        self._b_pkts = None
-        self._b_done = None
-        self._b_dirty = False
-        self._start_next()
-
-    def flush_burst(self) -> None:
-        """Dissolve the active burst chain at its next completion boundary.
-
-        The chain's remaining completion times were precomputed, so any
-        interaction that can change them — currently a link rate change —
-        must call this.  The on-wire frame keeps its committed completion
-        time (serial behaviour: a frame already serialising finishes on
-        the old schedule); the members behind it fall back to freshly
-        computed serial times.  No event is cancelled or rescheduled, so
-        sequence-number allocation stays bit-identical.  No-op outside a
-        chain.
-        """
-        if self._b_pkts is not None:
-            self._b_dirty = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.node.name}[{self.index}] q={self.queue.byte_length}B>"

@@ -54,21 +54,6 @@ SCHEMA_VERSION = 1
 DEFAULT_SCHEDULERS = ("adaptive", "heap", "calendar", "wheel")
 
 
-def default_variants() -> tuple:
-    """Kernel-mode variants measured by default, on the lead backend only.
-
-    ``unbatched`` always (the plain/unbatched ratio is the batching
-    speedup); ``compiled`` only when the mypyc twin is actually built —
-    an interpreted-fallback row would just duplicate the plain number.
-    """
-    variants = ["unbatched"]
-    from ..sim.engine import load_core
-
-    if load_core(True).COMPILED:
-        variants.append("compiled")
-    return tuple(variants)
-
-
 def machine_info() -> Dict[str, object]:
     """Enough machine context to judge whether two snapshots are comparable."""
     return {
@@ -100,7 +85,6 @@ def run_kernel_suite(
     repeats: int = 3,
     duration_scale: float = 1.0,
     schedulers: Optional[Sequence[str]] = DEFAULT_SCHEDULERS,
-    variants: Sequence[str] = (),
     workloads: Optional[Sequence[str]] = None,
 ) -> List[Dict[str, float]]:
     """Best-of-``repeats`` events/sec for every pinned kernel workload.
@@ -110,17 +94,9 @@ def run_kernel_suite(
     snapshot format).  Repeats interleave across backends so machine
     noise spreads evenly instead of biasing whichever backend ran last.
 
-    ``variants`` adds one extra row per (workload, variant) measured on
-    the lead backend only (``<workload>@<lead>+<variant>``) — the
-    kernel-mode dimension (unbatched / compiled) is backend-independent
-    enough that the full cross product would only add noise surface.
-    Each variant cell runs immediately after its workload's lead-backend
-    plain cell: the pair is the comparison readers make, so it must not
-    straddle minutes of machine drift.
-
     Workloads that declare ``lead_only`` (the sharded-fabric twins)
-    measure on the lead backend only and skip the variant dimension:
-    they compare against their serial/sharded twin, not across backends.
+    measure on the lead backend only: they compare against their
+    serial/sharded twin, not across backends.
     ``workloads`` filters the suite to the named subset (unknown names
     raise, so a CI filter cannot silently measure nothing).
     """
@@ -143,19 +119,11 @@ def run_kernel_suite(
         for sched in sched_list:
             if lead_only and sched != sched_list[0]:
                 continue
-            cells.append((workload, sched, None))
-            if sched == sched_list[0] and not lead_only:
-                cells.extend(
-                    (workload, sched, variant)
-                    for variant in variants
-                    if variant
-                )
+            cells.append((workload, sched))
     best: Dict[int, Dict[str, float]] = {}
     for _ in range(max(repeats, 1)):
-        for idx, (workload, sched, variant) in enumerate(cells):
-            run = run_kernel_workload(
-                workload, duration_scale, sched, variant
-            )
+        for idx, (workload, sched) in enumerate(cells):
+            run = run_kernel_workload(workload, duration_scale, sched)
             if (
                 idx not in best
                 or run["events_per_sec"] > best[idx]["events_per_sec"]
@@ -240,15 +208,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--variants",
-        default="auto",
-        help=(
-            "comma-separated kernel-mode variants measured on the lead "
-            "backend (kernel kind only); 'auto' = unbatched plus "
-            "compiled-when-built, 'none' disables the dimension"
-        ),
-    )
-    parser.add_argument(
         "--workloads",
         default=None,
         help=(
@@ -267,12 +226,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     schedulers = [s for s in args.schedulers.split(",") if s.strip()]
-    if args.variants == "auto":
-        variants = list(default_variants())
-    elif args.variants == "none":
-        variants = []
-    else:
-        variants = [v for v in args.variants.split(",") if v.strip()]
     if args.quick:
         args.repeats = 1
         args.duration_scale = min(args.duration_scale, 0.1)
@@ -292,7 +245,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.repeats,
             args.duration_scale,
             schedulers,
-            variants,
             workloads=workload_filter,
         )
         metric = "events_per_sec"

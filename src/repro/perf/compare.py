@@ -33,33 +33,13 @@ def snapshot_schedulers(results: List[Dict[str, float]]) -> List[str]:
     """Backends the snapshot covers, so the fresh run measures the same.
 
     Row order is preserved (first appearance wins); bare legacy rows
-    count as ``adaptive``; variant rows (``...+unbatched``) do not add
-    backends of their own.
+    count as ``adaptive``.
     """
     seen: List[str] = []
     for row in results:
-        if row.get("variant") or "+" in row["name"]:
-            continue
         sched = row.get("scheduler") or _canonical(row["name"]).split("@")[1]
         if sched not in seen:
             seen.append(sched)
-    return seen
-
-
-def snapshot_variants(results: List[Dict[str, float]]) -> List[str]:
-    """Kernel-mode variants the snapshot covers (empty for old baselines).
-
-    Pre-variant snapshots have no ``+`` rows, so the fresh run measures
-    none either and the gate behaves exactly as before this dimension
-    existed.
-    """
-    seen: List[str] = []
-    for row in results:
-        variant = row.get("variant")
-        if not variant and "+" in row["name"]:
-            variant = row["name"].rsplit("+", 1)[1]
-        if variant and variant not in seen:
-            seen.append(variant)
     return seen
 
 
@@ -139,12 +119,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     kind = snapshot.get("kind", "kernel")
     committed = snapshot["results"]
     schedulers = snapshot_schedulers(committed) or list(DEFAULT_SCHEDULERS)
-    variants = snapshot_variants(committed)
 
     if kind == "kernel":
-        fresh = run_kernel_suite(
-            repeats=args.repeats, schedulers=schedulers, variants=variants
-        )
+        fresh = run_kernel_suite(repeats=args.repeats, schedulers=schedulers)
     else:
         fresh = run_experiment_suite(
             repeats=args.repeats, schedulers=schedulers

@@ -24,17 +24,6 @@ Three tiers:
 Every run function takes an optional ``scheduler`` (a
 ``Simulator(scheduler=...)`` name); the bench suite runs each workload
 once per backend and names the rows ``<workload>@<scheduler>``.
-
-Kernel workloads additionally take a ``variant`` — a named kernel-mode
-override measured against the plain row:
-
-* ``""`` (plain) — the shipped defaults: batching on, interpreted core;
-* ``"unbatched"`` — ``REPRO_BATCH=off``, the pre-batching serial kernel
-  (the plain/unbatched ratio is the batching speedup, DESIGN.md §6h);
-* ``"compiled"`` — ``REPRO_COMPILED=on``, the mypyc core when built
-  (falls back to the interpreted module, making the row a no-op twin).
-
-Variant rows are named ``<workload>@<scheduler>+<variant>``.
 """
 
 from __future__ import annotations
@@ -190,43 +179,14 @@ EXPERIMENT_WORKLOADS: Tuple[ExperimentWorkload, ...] = (
 )
 
 
-#: Kernel-mode variants the bench suite can measure (see module docstring).
-VARIANT_NAMES = ("", "unbatched", "compiled")
-
-
-def _variant_env(variant: Optional[str]) -> Dict[str, str]:
-    """``config_env`` overrides implementing a named kernel variant."""
-    if not variant:
-        return {}
-    if variant == "unbatched":
-        return {"batch": "off"}
-    if variant == "compiled":
-        return {"compiled": "on"}
-    raise ValueError(
-        f"unknown kernel variant {variant!r} (expected one of "
-        f"{VARIANT_NAMES[1:]})"
-    )
-
-
-def _row_name(
-    workload_name: str,
-    scheduler: Optional[str],
-    variant: Optional[str] = None,
-) -> str:
-    name = f"{workload_name}@{scheduler}" if scheduler else workload_name
-    return f"{name}+{variant}" if variant else name
-
-
-def _annotate_variant(row: Dict[str, float], variant: Optional[str]) -> None:
-    if variant:
-        row["variant"] = variant
+def _row_name(workload_name: str, scheduler: Optional[str]) -> str:
+    return f"{workload_name}@{scheduler}" if scheduler else workload_name
 
 
 def run_kernel_workload(
     workload: AnyKernelWorkload,
     duration_scale: float = 1.0,
     scheduler: Optional[str] = None,
-    variant: Optional[str] = None,
 ) -> Dict[str, float]:
     """Run one kernel workload; returns events, wall_s, events_per_sec.
 
@@ -234,18 +194,14 @@ def run_kernel_workload(
     scaled runs are *not* comparable against the committed baselines.
     """
     if isinstance(workload, TimerChurnWorkload):
-        return run_churn_workload(workload, duration_scale, scheduler, variant)
+        return run_churn_workload(workload, duration_scale, scheduler)
     if isinstance(workload, FabricWorkload):
-        return run_fabric_workload(workload, duration_scale, scheduler, variant)
+        return run_fabric_workload(workload, duration_scale, scheduler)
     if isinstance(workload, TelemetryWorkload):
-        return run_telemetry_workload(
-            workload, duration_scale, scheduler, variant
-        )
+        return run_telemetry_workload(workload, duration_scale, scheduler)
     if isinstance(workload, ShardedFabricWorkload):
-        return run_sharded_fabric_workload(
-            workload, duration_scale, scheduler, variant
-        )
-    with config_env(scheduler=scheduler, **_variant_env(variant)):
+        return run_sharded_fabric_workload(workload, duration_scale, scheduler)
+    with config_env(scheduler=scheduler):
         topo = build_topology(
             dumbbell,
             workload.protocol,
@@ -261,7 +217,7 @@ def run_kernel_workload(
         wall = time.perf_counter() - start
     events = topo.sim.events_processed
     row = {
-        "name": _row_name(workload.name, scheduler, variant),
+        "name": _row_name(workload.name, scheduler),
         "workload": workload.name,
         "scheduler": scheduler or "adaptive",
         "protocol": workload.protocol,
@@ -269,7 +225,6 @@ def run_kernel_workload(
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
     }
-    _annotate_variant(row, variant)
     return row
 
 
@@ -277,16 +232,11 @@ def run_telemetry_workload(
     workload: TelemetryWorkload,
     duration_scale: float = 1.0,
     scheduler: Optional[str] = None,
-    variant: Optional[str] = None,
 ) -> Dict[str, float]:
     """Run one telemetry-on dumbbell workload on the given backend."""
     from ..obs import drain_pending
 
-    with config_env(
-        scheduler=scheduler,
-        telemetry=workload.telemetry,
-        **_variant_env(variant),
-    ):
+    with config_env(scheduler=scheduler, telemetry=workload.telemetry):
         topo = build_topology(
             dumbbell,
             workload.protocol,
@@ -303,7 +253,7 @@ def run_telemetry_workload(
     drain_pending()  # nothing exports; keep the pending queue clean
     events = topo.sim.events_processed
     row = {
-        "name": _row_name(workload.name, scheduler, variant),
+        "name": _row_name(workload.name, scheduler),
         "workload": workload.name,
         "scheduler": scheduler or "adaptive",
         "protocol": workload.protocol,
@@ -312,7 +262,6 @@ def run_telemetry_workload(
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
     }
-    _annotate_variant(row, variant)
     return row
 
 
@@ -320,11 +269,9 @@ def run_churn_workload(
     workload: TimerChurnWorkload,
     duration_scale: float = 1.0,
     scheduler: Optional[str] = None,
-    variant: Optional[str] = None,
 ) -> Dict[str, float]:
     """Run one timer-churn workload on the given backend."""
-    with config_env(**_variant_env(variant)):
-        sim = Simulator(scheduler=scheduler) if scheduler else Simulator()
+    sim = Simulator(scheduler=scheduler) if scheduler else Simulator()
     timers = workload.timer_delays_ns
     # Per-slot base delay precomputed (the j*977 de-aliasing stagger is
     # static); the ack handler only adds the per-step jitter.
@@ -358,7 +305,7 @@ def run_churn_workload(
     wall = time.perf_counter() - start
     events = sim.events_processed
     row = {
-        "name": _row_name(workload.name, scheduler, variant),
+        "name": _row_name(workload.name, scheduler),
         "workload": workload.name,
         "scheduler": scheduler or "adaptive",
         "protocol": "timers",
@@ -366,7 +313,6 @@ def run_churn_workload(
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
     }
-    _annotate_variant(row, variant)
     return row
 
 
@@ -374,10 +320,9 @@ def run_fabric_workload(
     workload: FabricWorkload,
     duration_scale: float = 1.0,
     scheduler: Optional[str] = None,
-    variant: Optional[str] = None,
 ) -> Dict[str, float]:
     """Run one fat-tree multi-path workload on the given backend."""
-    with config_env(scheduler=scheduler, **_variant_env(variant)):
+    with config_env(scheduler=scheduler):
         topo = build_topology(
             fat_tree,
             workload.protocol,
@@ -398,7 +343,7 @@ def run_fabric_workload(
         wall = time.perf_counter() - start
     events = topo.sim.events_processed
     row = {
-        "name": _row_name(workload.name, scheduler, variant),
+        "name": _row_name(workload.name, scheduler),
         "workload": workload.name,
         "scheduler": scheduler or "adaptive",
         "protocol": workload.protocol,
@@ -407,7 +352,6 @@ def run_fabric_workload(
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
     }
-    _annotate_variant(row, variant)
     return row
 
 
@@ -415,7 +359,6 @@ def run_sharded_fabric_workload(
     workload: ShardedFabricWorkload,
     duration_scale: float = 1.0,
     scheduler: Optional[str] = None,
-    variant: Optional[str] = None,
 ) -> Dict[str, float]:
     """Run one sharded-fabric workload (serial when ``pod_shards == 0``).
 
@@ -445,7 +388,7 @@ def run_sharded_fabric_workload(
             "flows_per_pod": workload.flows_per_pod,
         },
     )
-    with config_env(scheduler=scheduler, **_variant_env(variant)):
+    with config_env(scheduler=scheduler):
         if workload.pod_shards == 0:
             outcome = run_serial_reference(spec)
             events, wall = outcome.events, outcome.wall_s
@@ -460,7 +403,7 @@ def run_sharded_fabric_workload(
                 "exec_mode": result.mode,
             }
     row = {
-        "name": _row_name(workload.name, scheduler, variant),
+        "name": _row_name(workload.name, scheduler),
         "workload": workload.name,
         "scheduler": scheduler or "adaptive",
         "protocol": workload.protocol,
@@ -469,7 +412,6 @@ def run_sharded_fabric_workload(
         "events_per_sec": events / wall if wall > 0 else 0.0,
         **extra,
     }
-    _annotate_variant(row, variant)
     return row
 
 

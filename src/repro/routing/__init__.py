@@ -76,19 +76,6 @@ def resolve_routing(
     return make_routing(routing)
 
 
-def routing_env(name: Optional[str]):
-    """Deprecated shim: use :func:`repro.config.env` instead.
-
-    Pins ``REPRO_ROUTING`` while the block runs (None = no-op), with
-    identical validation and restore semantics.  Kept so pre-config
-    callers keep working; new code should write
-    ``with repro.config.env(routing=name):``.
-    """
-    from ..config import env  # deferred: repro.config imports this module
-
-    return env(routing=name)
-
-
 __all__ = [
     "RoutingPolicy",
     "SinglePathPolicy",
@@ -101,5 +88,4 @@ __all__ = [
     "flow_hash",
     "make_routing",
     "resolve_routing",
-    "routing_env",
 ]

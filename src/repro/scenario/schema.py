@@ -632,10 +632,14 @@ def scenario_from_dict(raw: Dict[str, Any], source: str = "scenario") -> Scenari
                     f".config.{reserved}",
                     f"set {reserved} at the scenario top level, not in config",
                 )
-        try:
-            config = SimConfig.from_dict({"seed": seed, **cfg_map})
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError(".config", str(exc)) from None
+        # Validate key by key so an unknown field or bad value is reported
+        # at its own path (``.config.<key>``), not just ``.config``.
+        for key, value in cfg_map.items():
+            try:
+                SimConfig.from_dict({key: value})
+            except (ValueError, TypeError) as exc:
+                raise ScenarioError(f".config.{key}", str(exc)) from None
+        config = SimConfig.from_dict({"seed": seed, **cfg_map})
 
     _reject_unknown(
         mapping,

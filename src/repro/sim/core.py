@@ -1,93 +1,7 @@
-"""Typed hot-loop kernels, written to compile cleanly under mypyc.
+"""Empty placeholder for the retired kernel-helper module.
 
-This module is the single source of truth for the helpers the engine and
-port layer route through when ``REPRO_COMPILED=on``: plain module-level
-functions over concrete built-in containers, no closures, no dynamic
-attribute tricks — exactly the subset mypyc compiles to C extensions with
-real speedups.  The same file runs unmodified on the interpreter, which
-is what keeps the pure-Python fallback from rotting: tier-1 tests
-exercise these functions interpreted on every run.
-
-Build story (opt-in, nothing here imports mypy):
-
-* ``pip install .[compiled]`` provides mypyc;
-* ``python benchmarks/perf/build_compiled.py`` copies this file to
-  ``repro/sim/_core_compiled.py`` and compiles that copy in place;
-* :func:`repro.sim.engine.load_core` prefers the compiled twin when the
-  knob asks for it and silently falls back to this module otherwise.
-
-``COMPILED`` reports which flavour actually loaded (mypyc rewrites
-``__file__`` to the extension module's path).
+It defines nothing: the event loop lives in :mod:`repro.sim.engine`.
+The module stays importable only because ``perfbench/spans.py`` lists
+it in the ``sim`` layer of its per-layer span table and imports every
+module it names.  Delete it together with that entry.
 """
-
-from __future__ import annotations
-
-from heapq import heappop as _heappop
-from typing import List, Tuple
-
-_SECOND = 1_000_000_000
-
-COMPILED: bool = not __file__.endswith((".py", ".pyc"))
-
-
-def heap_pop_batch(
-    heap: List[tuple], free: list, horizon_ns: int, out: list
-) -> Tuple[int, int]:
-    """Pop every due live event sharing the earliest due time into ``out``.
-
-    Dead entries surfacing at the head are recycled into ``free``.
-    Returns ``(popped, freed_dead)`` so the caller can settle the owning
-    scheduler's dead-entry counter in one write.
-    """
-    ndead = 0
-    while heap:
-        entry = heap[0]
-        event = entry[2]
-        if event.cancelled:
-            _heappop(heap)
-            ndead += 1
-            free.append(event)
-            continue
-        time_ns: int = entry[0]
-        if time_ns > horizon_ns:
-            return 0, ndead
-        _heappop(heap)
-        out.append(event)
-        n = 1
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
-                _heappop(heap)
-                ndead += 1
-                free.append(event)
-                continue
-            if entry[0] != time_ns:
-                break
-            _heappop(heap)
-            out.append(event)
-            n += 1
-        return n, ndead
-    return 0, ndead
-
-
-def burst_times(
-    sizes: List[int], rate_bps: int, start_ns: int
-) -> Tuple[List[int], List[int]]:
-    """Cumulative serialisation schedule for a back-to-back frame burst.
-
-    For each frame size (in bytes) returns its serialisation start and
-    completion time, chaining per-frame ceil-rounded transmission times
-    exactly as the serial per-event path does (sum of ceils, never the
-    ceil of a sum — the two differ, and golden determinism pins the
-    former).
-    """
-    starts: List[int] = []
-    dones: List[int] = []
-    t = start_ns
-    for size in sizes:
-        starts.append(t)
-        bits = size * 8
-        t += -(-bits * _SECOND // rate_bps)  # ceil division
-        dones.append(t)
-    return starts, dones

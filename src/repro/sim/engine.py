@@ -43,26 +43,6 @@ pinned workloads, see ``repro.perf``):
 * When more than half a backend's store is dead (cancelled timers that
   were never popped — long-RTO transports generate these in bulk) it is
   compacted in place, bounding both memory and ordering work.
-
-Batching (``REPRO_BATCH``, default ``on``; see DESIGN.md §6h):
-
-* The run loop pops all events sharing one time key in a single
-  :meth:`~repro.sim.sched.Scheduler.pop_batch` call and dispatches them
-  in ``seq`` order — third-party backends get a correct single-pop
-  fallback from the base class.  Batch members stay individually
-  cancellable: a member cancelled by an earlier member's callback is
-  skipped exactly as the store's lazy dead-entry discard would have.
-  Dispatch order is identical to single-pop, so results are bit-exact.
-* The port layer (``repro.net.port``) additionally precomputes whole TX
-  burst schedules, replacing the general per-frame completion path with
-  a lean chained one — same events, same order, less work per event.
-
-Compiled core (``REPRO_COMPILED``, default ``off``): the hot batch
-helpers live in :mod:`repro.sim.core`, written to compile under mypyc
-(``pip install .[compiled]`` + ``benchmarks/perf/build_compiled.py``).
-When the knob is on the engine routes through :func:`load_core`, which
-prefers the compiled twin and silently falls back to the interpreted
-module — same bit-identical results either way.
 """
 
 from __future__ import annotations
@@ -97,28 +77,6 @@ _NO_LIMIT = 1 << 62
 ADAPTIVE_SWITCH_THRESHOLD = 2048
 
 HeapEntry = Tuple[int, int, "Event"]
-
-
-def load_core(compiled: bool):
-    """The kernel-helper module: compiled twin when asked for and built.
-
-    With ``compiled`` False this returns the interpreted
-    :mod:`repro.sim.core`.  With True it prefers the mypyc-built
-    ``repro.sim._core_compiled`` (produced by
-    ``benchmarks/perf/build_compiled.py``) and falls back to the
-    interpreted module when the build is absent — opting in never breaks
-    an environment without the extension.
-    """
-    if compiled:
-        try:
-            from . import _core_compiled  # type: ignore[attr-defined]
-
-            return _core_compiled
-        except ImportError:
-            pass
-    from . import core
-
-    return core
 
 
 class Event:
@@ -204,8 +162,6 @@ class Simulator:
         "_live",
         "_running",
         "_events_processed",
-        "_batch",
-        "_core",
         "_adapt_at",
         "scheduler_name",
         "_sched",
@@ -231,19 +187,6 @@ class Simulator:
         self._live: int = 0
         self._running = False
         self._events_processed = 0
-        batch = getattr(config, "batch", None) if config is not None else None
-        if batch is None:
-            batch = os.environ.get("REPRO_BATCH", "") or "on"
-        self._batch = batch != "off"
-        compiled = (
-            getattr(config, "compiled", None) if config is not None else None
-        )
-        if compiled is None:
-            compiled = os.environ.get("REPRO_COMPILED", "") or "off"
-        # None = pure inlined fast paths; a module = route batch pops and
-        # burst schedules through repro.sim.core (compiled when built).
-        # "1" is accepted as an alias for "on" (CI shard convenience).
-        self._core = load_core(True) if compiled in ("on", "1") else None
 
         if scheduler is None:
             scheduler = os.environ.get("REPRO_SCHEDULER", "") or "adaptive"
@@ -445,48 +388,13 @@ class Simulator:
         free = self._free
         horizon = _NO_HORIZON if until_ns is None else until_ns
         limit = _NO_LIMIT if max_events is None else max_events
-        core = self._core
-        # Batched dispatch pops whole same-time groups before running
-        # them, so it only engages when no max_events bound can land
-        # mid-group; a bounded run keeps the exact per-event fast path.
-        batch: Optional[List[Event]] = (
-            [] if (self._batch and limit == _NO_LIMIT) else None
-        )
         try:
             while processed < limit:
                 sched = self._sched
                 heap = self._heap_list
                 cal = self._cal
                 wheel = self._wheel
-                if heap is not None and core is not None and batch is not None:
-                    # Compiled-core heap drain: same-time groups pop in
-                    # one core call (C when the extension is built), then
-                    # dispatch here.  Members stay cancellable mid-batch:
-                    # a cancelled member mirrors the store's lazy skip
-                    # (its cancel() charged _dead as if still stored).
-                    pop_batch = core.heap_pop_batch
-                    while True:
-                        n, ndead = pop_batch(heap, free, horizon, batch)
-                        if ndead:
-                            sched._dead -= ndead
-                        if n == 0:
-                            break
-                        self._now = batch[0].time
-                        for event in batch:
-                            if event.cancelled:
-                                sched._dead -= 1
-                                free.append(event)
-                                continue
-                            callback = event.callback
-                            args = event.args
-                            event.cancelled = True
-                            event.callback = None
-                            event.args = ()
-                            callback(*args)
-                            free.append(event)
-                            processed += 1
-                        del batch[:]
-                elif heap is not None:
+                if heap is not None:
                     # Inlined heap drain (the PR-2 loop): no function
                     # call per event.  A callback may adapt the backend
                     # mid-loop — drain_live empties the heap *in place*,
@@ -592,30 +500,6 @@ class Simulator:
                         if not wheel._refill():
                             break
                         due = wheel._due
-                elif batch is not None:
-                    # Generic backend, batching on: one pop_batch call per
-                    # same-time group (the base class gives third-party
-                    # backends a correct single-pop fallback).  Cancel
-                    # handling matches the compiled-core branch above.
-                    pop_batch = sched.pop_batch
-                    while True:
-                        if pop_batch(horizon, batch) == 0:
-                            break
-                        self._now = batch[0].time
-                        for event in batch:
-                            if event.cancelled:
-                                sched._dead -= 1
-                                free.append(event)
-                                continue
-                            callback = event.callback
-                            args = event.args
-                            event.cancelled = True
-                            event.callback = None
-                            event.args = ()
-                            callback(*args)
-                            free.append(event)
-                            processed += 1
-                        del batch[:]
                 else:
                     pop_due = sched.pop_due
                     while processed < limit:

@@ -23,8 +23,6 @@ shards select a backend process-wide).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .base import Scheduler
 from .calendar import CalendarScheduler
 from .heap import HeapScheduler
@@ -53,20 +51,6 @@ def make_scheduler(name: str) -> Scheduler:
     return backend()
 
 
-def scheduler_env(name: Optional[str]):
-    """Deprecated shim: use :func:`repro.config.env` instead.
-
-    Pins ``REPRO_SCHEDULER`` while the block runs (None = no-op), with
-    identical validation and restore semantics — it *is* the shared
-    context manager, specialised to one knob.  Kept so pre-config
-    callers keep working; new code should write
-    ``with repro.config.env(scheduler=name):``.
-    """
-    from ...config import env  # deferred: repro.config imports this module
-
-    return env(scheduler=name)
-
-
 __all__ = [
     "Scheduler",
     "HeapScheduler",
@@ -75,5 +59,4 @@ __all__ = [
     "SCHEDULER_BACKENDS",
     "SCHEDULER_NAMES",
     "make_scheduler",
-    "scheduler_env",
 ]

@@ -37,7 +37,7 @@ this rationale were consolidated here):
   remains for direct backend users and tests.
 * Subclassing a stock backend (test shadows, instrumentation) opts out
   of all inlining automatically — the engine falls back to the generic
-  bound ``push``/``pop_due``/``pop_batch`` path.
+  bound ``push``/``pop_due`` path.
 """
 
 from __future__ import annotations
@@ -92,27 +92,6 @@ class Scheduler:
         ``time`` attribute (the caller advances the clock from it).
         """
         raise NotImplementedError
-
-    def pop_batch(self, horizon_ns: int, out: list) -> int:
-        """Pop every due live event sharing the earliest due time.
-
-        Appends the group to ``out`` in ``(time, seq)`` order and returns
-        its size (0 when nothing is due).  This default builds on
-        :meth:`pop_due`, so any third-party backend is batch-correct for
-        free; stock backends may override with a direct head-run pop.
-        """
-        first = self.pop_due(horizon_ns)
-        if first is None:
-            return 0
-        out.append(first)
-        n = 1
-        time_ns = first.time
-        while True:
-            event = self.pop_due(time_ns)
-            if event is None:
-                return n
-            out.append(event)
-            n += 1
 
     def next_live_time(self) -> Optional[int]:
         """Time of the earliest live event, or None when empty."""

@@ -55,41 +55,6 @@ class HeapScheduler(Scheduler):
             return event
         return None
 
-    def pop_batch(self, horizon_ns: int, out: list) -> int:
-        # Direct head-run pop: one horizon check for the whole group,
-        # then same-time entries pop in seq order by heap invariant.
-        heap = self._heap
-        free = self._free
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
-                _heappop(heap)
-                self._dead -= 1
-                free.append(event)
-                continue
-            time_ns = entry[0]
-            if time_ns > horizon_ns:
-                return 0
-            _heappop(heap)
-            out.append(event)
-            n = 1
-            while heap:
-                entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
-                    _heappop(heap)
-                    self._dead -= 1
-                    free.append(event)
-                    continue
-                if entry[0] != time_ns:
-                    break
-                _heappop(heap)
-                out.append(event)
-                n += 1
-            return n
-        return 0
-
     def next_live_time(self) -> Optional[int]:
         heap = self._heap
         free = self._free

@@ -17,10 +17,8 @@ from .registry import (
     PROTOCOLS,
     EcnParams,
     Protocol,
-    configure_network,
     get_protocol,
     open_flow,
-    queue_factory_for,
     register_protocol,
     registered_protocols,
     unregister_protocol,
@@ -52,10 +50,8 @@ __all__ = [
     "PROTOCOLS",
     "EcnParams",
     "Protocol",
-    "configure_network",
     "get_protocol",
     "open_flow",
-    "queue_factory_for",
     "register_protocol",
     "registered_protocols",
     "unregister_protocol",

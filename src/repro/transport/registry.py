@@ -21,9 +21,6 @@ and tests can add entries without editing this module, and a registered
 name is immediately valid everywhere a transport name is accepted
 (scenario ``transport:``/``fabric:`` fields, ``SimConfig.transport``,
 the runner's ``--scenario-transports`` sweep).
-
-:func:`queue_factory_for` and :func:`configure_network` survive as thin
-deprecated shims delegating to the hooks above.
 """
 
 from __future__ import annotations
@@ -308,10 +305,9 @@ def resolve_legacy_params(
     The only place allowed to branch on protocol parameter types: the
     deprecated ``tfc_params``/``pfc_params``/``ecn_threshold_bytes``
     keywords apply exactly when the protocol's params slot is of the
-    matching type, and are ignored otherwise (as the old
-    ``queue_factory_for`` / ``configure_network`` pair ignored them;
-    a ``pfc_params`` on a non-PFC protocol still layers the lossless
-    fabric via :meth:`Protocol.install`'s own keyword).
+    matching type, and are ignored otherwise (a ``pfc_params`` on a
+    non-PFC protocol still layers the lossless fabric via
+    :meth:`Protocol.install`'s own keyword).
     """
     if params is not None:
         return spec.resolve_params(params)
@@ -329,42 +325,6 @@ def resolve_legacy_params(
     ):
         return EcnParams(ecn_threshold_bytes)
     return spec.default_params
-
-
-def queue_factory_for(
-    protocol: str,
-    buffer_bytes: int,
-    ecn_threshold_bytes: int = DEFAULT_DCTCP_K_BYTES,
-) -> Callable[[int], DropTailQueue]:
-    """Queue discipline the given protocol expects on switch ports.
-
-    .. deprecated:: use ``get_protocol(name).port_queue_factory(...)``
-       (or :func:`repro.experiments.common.build_topology`); kept as a
-       thin shim for existing call sites.
-    """
-    spec = get_protocol(protocol)
-    params = resolve_legacy_params(
-        spec, ecn_threshold_bytes=ecn_threshold_bytes
-    )
-    return spec.port_queue_factory(buffer_bytes, params)
-
-
-def configure_network(
-    network: Network,
-    protocol: str,
-    tfc_params=None,
-    pfc_params=None,
-) -> None:
-    """Install protocol-specific switch behaviour.
-
-    .. deprecated:: use ``get_protocol(name).install(network, params)``;
-       kept as a thin shim for existing call sites.
-    """
-    spec = get_protocol(protocol)
-    params = resolve_legacy_params(
-        spec, tfc_params=tfc_params, pfc_params=pfc_params
-    )
-    spec.install(network, params, pfc_params=pfc_params)
 
 
 def open_flow(

@@ -1,4 +1,4 @@
-"""The consolidated REPRO_* environment surface and its legacy shims."""
+"""The consolidated REPRO_* environment surface."""
 
 import os
 
@@ -23,15 +23,13 @@ from repro.config import (
 def test_knob_table_covers_every_surface():
     assert set(KNOBS) == {
         "scheduler", "routing", "telemetry", "telemetry_dir", "lossless",
-        "batch", "compiled", "shards",
+        "shards",
     }
     assert KNOBS["scheduler"].names == SCHEDULER_NAMES
     assert KNOBS["routing"].names == ROUTING_NAMES
     assert KNOBS["telemetry"].names == TELEMETRY_MODES
     assert KNOBS["telemetry_dir"].names is None  # free-form path
     assert KNOBS["lossless"].names == LOSSLESS_MODES
-    assert KNOBS["batch"].names == ("on", "off")
-    assert KNOBS["compiled"].names == ("on", "off")
     assert KNOBS["shards"].names is None  # a count, checked not enumerated
     assert KNOBS["shards"].var == "REPRO_SHARDS"
 
@@ -44,8 +42,7 @@ def test_defaults_when_unset(monkeypatch):
     assert telemetry_mode() == "off"
     assert telemetry_dir() is None
     assert lossless_mode() == "off"
-    assert current("batch") == "on"
-    assert current("compiled") == "off"
+    assert current("shards") == ""
 
 
 def test_current_validates_and_names_the_variable(monkeypatch):
@@ -115,27 +112,3 @@ def test_env_restores_on_exception(monkeypatch):
             raise RuntimeError("boom")
     assert "REPRO_SCHEDULER" not in os.environ
 
-
-# ----------------------------------------------------------------------
-# Legacy shims
-# ----------------------------------------------------------------------
-def test_scheduler_env_shim(monkeypatch):
-    from repro.sim.sched import scheduler_env
-
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    with scheduler_env("wheel"):
-        assert os.environ["REPRO_SCHEDULER"] == "wheel"
-    assert "REPRO_SCHEDULER" not in os.environ
-    with pytest.raises(ValueError, match="unknown scheduler backend"):
-        scheduler_env("bogus")
-
-
-def test_routing_env_shim(monkeypatch):
-    from repro.routing import routing_env
-
-    monkeypatch.delenv("REPRO_ROUTING", raising=False)
-    with routing_env("flowlet"):
-        assert os.environ["REPRO_ROUTING"] == "flowlet"
-    assert "REPRO_ROUTING" not in os.environ
-    with pytest.raises(ValueError, match="unknown routing policy"):
-        routing_env("bogus")

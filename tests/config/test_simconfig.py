@@ -126,8 +126,6 @@ def test_to_dict_from_dict_round_trip_all_fields():
         telemetry="counters",
         telemetry_dir="/tmp/somewhere",
         lossless="pfc",
-        batch="on",
-        compiled="off",
         shards=3,
     )
     data = cfg.to_dict()

@@ -5,9 +5,14 @@ import pytest
 from repro.experiments.common import build_topology
 from repro.faults import FaultInjector
 from repro.faults.engine import reverse_port
+from repro.net.packet import Packet
 from repro.net.topology import dumbbell
 from repro.sim.trace import FAULT_CLEARED, FAULT_INJECTED
-from repro.sim.units import bandwidth_delay_product, milliseconds
+from repro.sim.units import (
+    bandwidth_delay_product,
+    milliseconds,
+    transmission_time_ns,
+)
 from repro.transport.base import FlowState
 from repro.transport.registry import open_flow
 
@@ -75,6 +80,39 @@ def test_degrade_link_halves_effective_rate():
     assert port.link.rate_bps == nominal  # nominal rate untouched
     topo.network.run_for(milliseconds(2))
     assert port.link.effective_rate_bps == nominal
+
+
+def test_degrade_mid_frame_keeps_on_wire_frame_at_old_rate():
+    """A frame already serialising when the link degrades finishes at its
+    old-rate time; the next frame serialises at the degraded rate, because
+    the degrade clears the port's tx-time cache."""
+    topo, receiver = tcp_dumbbell()
+    port = topo.bottleneck()
+    sim = topo.sim
+    rate = port.link.rate_bps
+    frames = [Packet(0, receiver.node_id, 1, 2, seq=i, payload=1460) for i in range(2)]
+    size = frames[0].frame_size
+    old_tx = transmission_time_ns(size, rate)
+    new_tx = transmission_time_ns(size, rate // 2)
+    assert new_tx > old_tx
+    injector = FaultInjector(topo.network)
+    injector.degrade_link(port, 0.5, at_ns=old_tx // 2)
+    for frame in frames:
+        assert port.send(frame)
+    assert port._tx_cache == {size: old_tx}
+
+    sim.run(until_ns=old_tx // 2)
+    assert port.link.effective_rate_bps == rate // 2
+    assert port._tx_cache == {}  # the degrade dropped the old-rate entry
+    sim.run(until_ns=old_tx - 1)
+    assert port.tx_packets == 0
+    sim.run(until_ns=old_tx)
+    assert port.tx_packets == 1  # on-wire frame kept its old-rate finish
+    assert port._tx_cache == {size: new_tx}
+    sim.run(until_ns=old_tx + new_tx - 1)
+    assert port.tx_packets == 1
+    sim.run(until_ns=old_tx + new_tx)
+    assert port.tx_packets == 2  # next frame paid the degraded rate
 
 
 def test_degrade_validates_factor():

@@ -129,7 +129,6 @@ def test_enable_bfc_installs_agents_and_nic_queues():
         for port in host.ports:
             assert isinstance(port.agent, BfcHostAgent)
             assert isinstance(port.queue, BfcQueue)
-            assert not port.burst_enabled
 
 
 # ----------------------------------------------------------------------

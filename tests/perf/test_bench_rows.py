@@ -43,7 +43,7 @@ def test_snapshot_carries_sharded_rows_with_machine_aware_speedup():
     rows = {
         row["workload"]: row
         for row in snap["results"]
-        if not row.get("variant") and row.get("scheduler") == "adaptive"
+        if row.get("scheduler") == "adaptive"
     }
     serial = rows["fattree8_tfc_serial"]
     sharded = rows["fattree8_tfc_sharded4"]
@@ -62,12 +62,11 @@ def test_snapshot_carries_sharded_rows_with_machine_aware_speedup():
         assert speedup > 0
 
 
-def test_lead_only_workloads_measure_one_backend_and_no_variants():
+def test_lead_only_workloads_measure_one_backend():
     rows = run_kernel_suite(
         repeats=1,
         duration_scale=0.02,
         schedulers=("heap", "calendar"),
-        variants=("unbatched",),
         workloads=["fattree8_tfc_serial"],
     )
     assert [row["name"] for row in rows] == ["fattree8_tfc_serial@heap"]

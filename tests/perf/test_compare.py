@@ -2,11 +2,7 @@
 workloads themselves (at smoke scale, so CI never waits on a benchmark)."""
 
 from repro.perf.bench import build_payload, machine_info, run_kernel_suite
-from repro.perf.compare import (
-    compare_results,
-    snapshot_schedulers,
-    snapshot_variants,
-)
+from repro.perf.compare import compare_results, snapshot_schedulers
 from repro.perf.workloads import (
     KERNEL_WORKLOADS,
     TimerChurnWorkload,
@@ -101,55 +97,26 @@ def test_snapshot_schedulers_extraction():
     assert snapshot_schedulers(rows) == ["heap", "wheel", "adaptive"]
 
 
-def test_snapshot_schedulers_skips_variant_rows():
-    rows = [
-        {"name": "a@heap", "scheduler": "heap"},
-        {"name": "a@heap+unbatched", "scheduler": "heap", "variant": "unbatched"},
-        {"name": "a@heap+compiled"},  # variant key absent: name parse
-    ]
-    assert snapshot_schedulers(rows) == ["heap"]
-
-
-def test_snapshot_variants_extraction():
-    rows = [
-        {"name": "a@heap", "scheduler": "heap"},
-        {"name": "a@heap+unbatched", "variant": "unbatched"},
-        {"name": "b@heap+unbatched", "variant": "unbatched"},
-        {"name": "a@heap+compiled"},  # variant key absent: name parse
-    ]
-    assert snapshot_variants(rows) == ["unbatched", "compiled"]
-    # Pre-variant snapshots yield no variants, so the gate measures none.
-    assert snapshot_variants([{"name": "a@heap"}, {"name": "legacy"}]) == []
-
-
-def test_variant_cells_pair_with_their_lead_plain_cell(monkeypatch):
-    """A variant cell runs immediately after its workload's lead-backend
-    plain cell — the pair readers compare must not straddle machine
-    drift accumulated over the rest of the matrix."""
+def test_kernel_cells_cover_every_backend_but_lead_only_twins(monkeypatch):
+    """Every workload runs once per requested backend, except the
+    ``lead_only`` sharded-fabric twins, which run on the lead only."""
     from repro.perf import bench
 
     calls = []
 
-    def fake(workload, duration_scale=1.0, scheduler=None, variant=None):
-        calls.append((workload.name, scheduler, variant))
+    def fake(workload, duration_scale=1.0, scheduler=None):
+        calls.append((workload.name, scheduler))
         return {"name": workload.name, "events_per_sec": 1.0}
 
     monkeypatch.setattr(bench, "run_kernel_workload", fake)
-    run_kernel_suite(
-        repeats=1, schedulers=("adaptive", "heap"), variants=("unbatched",)
-    )
+    run_kernel_suite(repeats=1, schedulers=("adaptive", "heap"))
     for workload in KERNEL_WORKLOADS:
         name = workload.name
         mine = [c for c in calls if c[0] == name]
         if getattr(workload, "lead_only", False):
-            # Sharded-fabric twins: lead backend only, no variant rows.
-            assert mine == [(name, "adaptive", None)]
+            assert mine == [(name, "adaptive")]
         else:
-            assert mine == [
-                (name, "adaptive", None),
-                (name, "adaptive", "unbatched"),
-                (name, "heap", None),
-            ]
+            assert mine == [(name, "adaptive"), (name, "heap")]
 
 
 def test_kernel_workloads_run_at_smoke_scale():

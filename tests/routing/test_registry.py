@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.config import env
 from repro.net.topology import dumbbell
 from repro.routing import (
     ROUTING_ENV_VAR,
@@ -14,7 +15,6 @@ from repro.routing import (
     RoutingPolicy,
     make_routing,
     resolve_routing,
-    routing_env,
 )
 
 
@@ -61,22 +61,22 @@ def test_resolve_routing_passes_instances_through():
 
 def test_routing_env_sets_and_restores(monkeypatch):
     monkeypatch.setenv(ROUTING_ENV_VAR, "flowlet")
-    with routing_env("spray"):
+    with env(routing="spray"):
         assert os.environ[ROUTING_ENV_VAR] == "spray"
     assert os.environ[ROUTING_ENV_VAR] == "flowlet"
     monkeypatch.delenv(ROUTING_ENV_VAR)
-    with routing_env("ecmp"):
+    with env(routing="ecmp"):
         assert os.environ[ROUTING_ENV_VAR] == "ecmp"
     assert ROUTING_ENV_VAR not in os.environ
     # None is a documented no-op.
-    with routing_env(None):
+    with env(routing=None):
         assert ROUTING_ENV_VAR not in os.environ
 
 
 def test_routing_env_validates_eagerly(monkeypatch):
     monkeypatch.delenv(ROUTING_ENV_VAR, raising=False)
     with pytest.raises(ValueError, match="unknown routing"):
-        with routing_env("bogus"):
+        with env(routing="bogus"):
             pass  # pragma: no cover - must not be reached
     assert ROUTING_ENV_VAR not in os.environ
 

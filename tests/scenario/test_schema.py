@@ -121,13 +121,28 @@ def test_link_flap_requires_duration():
 
 
 def test_config_block_round_trips_and_rejects_reserved():
-    doc = minimal(config={"scheduler": "heap", "batch": "on"})
+    doc = minimal(config={"scheduler": "heap", "lossless": "pfc"})
     scenario = scenario_from_dict(doc)
     assert scenario.config.scheduler == "heap"
+    assert scenario.config.lossless == "pfc"
     assert scenario.config.seed == scenario.seed
     doc = minimal(config={"telemetry": "counters"})
     with pytest.raises(ScenarioError, match=r"\.config\.telemetry"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["batch", "compiled", "schedular"])
+def test_config_unknown_key_reported_at_its_path(key):
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(minimal(config={"scheduler": "heap", key: "on"}))
+    assert exc.value.path == f".config.{key}"
+    assert "unknown SimConfig field" in str(exc.value)
+
+
+def test_config_invalid_value_reported_at_its_path():
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(minimal(config={"scheduler": "bogus"}))
+    assert exc.value.path == ".config.scheduler"
 
 
 def test_unknown_routing_and_telemetry_rejected():

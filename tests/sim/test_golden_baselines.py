@@ -3,9 +3,8 @@
 Same contract as :mod:`tests.sim.test_golden_determinism`, extended to
 the four baselines DESIGN.md §6k adds (bfc, tbtcp, tracks, fairq): the
 constants below were captured once and must stay bit-identical across
-every scheduler backend and with hot-loop batching on or off.  If a
-change here is intentional, recapture the constants and say so in the
-commit — never loosen the assertions.
+every scheduler backend.  If a change here is intentional, recapture
+the constants and say so in the commit — never loosen the assertions.
 
 The scenario is a contended 4-sender dumbbell with four equal 400 KB
 flows started together, long enough for every flow to finish.  Each
@@ -141,16 +140,6 @@ def test_golden_baseline_every_scheduler_backend(
     monkeypatch, backend, protocol
 ):
     monkeypatch.setenv("REPRO_SCHEDULER", backend)
-    _run_and_check(protocol)
-
-
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
-@pytest.mark.parametrize("batch", ["on", "off"])
-def test_golden_baseline_batching_bit_identical(monkeypatch, batch, protocol):
-    """Hot-loop batching changes nothing — note BFC disables the TX burst
-    chain structurally (its per-flow queue overrides ``dequeue``), so
-    batch on/off only toggles kernel micro-batching there."""
-    monkeypatch.setenv("REPRO_BATCH", batch)
     _run_and_check(protocol)
 
 

@@ -134,7 +134,7 @@ def test_protocols_survive_random_loss():
     from repro.net.topology import dumbbell
     from repro.sim.units import MILLISECOND, seconds
     from repro.transport.base import FlowState
-    from repro.transport.registry import configure_network, open_flow
+    from repro.transport.registry import get_protocol, open_flow
 
     for proto in ("tcp", "dctcp", "tfc"):
         rng = random.Random(7)
@@ -142,7 +142,7 @@ def test_protocols_survive_random_loss():
             n_senders=2,
             queue_factory=lambda rate: RandomDropQueue(256_000, 0.01, rng=rng),
         )
-        configure_network(topo.network, proto)
+        get_protocol(proto).install(topo.network)
         receiver = topo.hosts[-1]
         flows = [
             open_flow(h, receiver, proto, size_bytes=300_000, min_rto_ns=MILLISECOND)

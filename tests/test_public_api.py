@@ -59,8 +59,6 @@ def test_config_namespace_is_the_selection_surface():
         SCHEDULER_NAMES,
         TELEMETRY_MODES,
         SimConfig,
-        batch_mode,
-        compiled_mode,
         env,
         lossless_mode,
         routing_name,
@@ -76,12 +74,11 @@ def test_config_namespace_is_the_selection_surface():
     assert LOSSLESS_MODES == ("off", "pfc")
     assert set(KNOBS) == {
         "scheduler", "routing", "telemetry", "telemetry_dir", "lossless",
-        "batch", "compiled", "shards",
+        "shards",
     }
     assert callable(env) and callable(scheduler_name)
     assert callable(routing_name) and callable(telemetry_mode)
     assert callable(telemetry_dir) and callable(lossless_mode)
-    assert callable(batch_mode) and callable(compiled_mode)
     assert callable(shard_count)
     assert SimConfig().seed == 0
 
@@ -122,7 +119,7 @@ def test_observability_quickstart_from_package_docstring(tmp_path):
     from repro.net import Network
     from repro.obs import drain_pending
     from repro.sim.units import seconds
-    from repro.transport import configure_network, open_flow
+    from repro.transport import get_protocol, open_flow
 
     net = Network(config=SimConfig(seed=1, telemetry="full"))
     senders = [net.add_host(f"s{i}") for i in range(2)]
@@ -131,7 +128,7 @@ def test_observability_quickstart_from_package_docstring(tmp_path):
     for host in senders + [receiver]:
         net.cable(host, switch, 10_000_000_000, 1_000)
     net.build_routes()
-    configure_network(net, "tfc")
+    get_protocol("tfc").install(net)
     for host in senders:
         open_flow(host, receiver, "tfc")
     net.run_for(seconds(0.02))

@@ -4,7 +4,7 @@ from repro.net.packet import MSS, Packet
 from repro.net.queues import EcnQueue
 from repro.sim.units import seconds
 from repro.transport.dctcp import DctcpReceiver
-from repro.transport.registry import open_flow, queue_factory_for
+from repro.transport.registry import EcnParams, get_protocol, open_flow
 
 
 def established_sender(tiny_net):
@@ -103,7 +103,7 @@ def test_dctcp_limits_queue_near_threshold():
     k = 32_000
     topo = dumbbell(
         n_senders=2,
-        queue_factory=queue_factory_for("dctcp", 256_000, ecn_threshold_bytes=k),
+        queue_factory=get_protocol("dctcp").port_queue_factory(256_000, EcnParams(k)),
     )
     receiver = topo.hosts[-1]
     flows = [open_flow(host, receiver, "dctcp") for host in topo.hosts[:2]]
@@ -124,7 +124,7 @@ def test_dctcp_outperforms_tcp_on_queue_length():
     results = {}
     for proto in ("dctcp", "tcp"):
         topo = dumbbell(
-            n_senders=2, queue_factory=queue_factory_for(proto, 256_000)
+            n_senders=2, queue_factory=get_protocol(proto).port_queue_factory(256_000)
         )
         receiver = topo.hosts[-1]
         for host in topo.hosts[:2]:

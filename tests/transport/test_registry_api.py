@@ -3,8 +3,8 @@
 Covers the API surface DESIGN.md §6k documents: protocol-owned queue
 factories and installers, the typed params slot, the capability surface
 (``supports_weight``/``monitor_invariants``), runtime registration via
-``register_protocol``, and the deprecated ``queue_factory_for`` /
-``configure_network`` shims.
+``register_protocol``, and the legacy keyword mapping
+(``resolve_legacy_params``) behind ``build_topology``.
 """
 
 import pytest
@@ -19,10 +19,8 @@ from repro.transport.newreno import NewRenoReceiver, NewRenoSender
 from repro.transport.registry import (
     EcnParams,
     Protocol,
-    configure_network,
     get_protocol,
     open_flow,
-    queue_factory_for,
     register_protocol,
     registered_protocols,
     resolve_legacy_params,
@@ -144,7 +142,7 @@ def test_get_protocol_error_lists_live_registry():
 
 
 # ----------------------------------------------------------------------
-# Legacy keyword mapping + deprecated shims
+# Legacy keyword mapping
 # ----------------------------------------------------------------------
 def test_resolve_legacy_params_matches_slot_type():
     tfc_params = TfcParams(rho0=0.9)
@@ -165,19 +163,3 @@ def test_resolve_legacy_params_matches_slot_type():
         is explicit
     )
 
-
-def test_deprecated_shims_still_work():
-    factory = queue_factory_for("dctcp", 64_000, ecn_threshold_bytes=9000)
-    queue = factory(10**9)
-    assert isinstance(queue, EcnQueue)
-    assert queue.mark_threshold_bytes == 9000
-
-    topo = dumbbell(
-        n_senders=2,
-        queue_factory=queue_factory_for("tfc", 64_000),
-    )
-    configure_network(topo.network, "tfc", tfc_params=TfcParams(rho0=0.9))
-    from repro.net.pfc import protocol_agent
-
-    agent = protocol_agent(topo.bottleneck("main").agent)
-    assert agent is not None and agent.params.rho0 == 0.9

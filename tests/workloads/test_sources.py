@@ -5,15 +5,15 @@ import pytest
 from repro.net.topology import dumbbell
 from repro.sim.units import milliseconds, seconds
 from repro.transport.base import FlowState
-from repro.transport.registry import configure_network, open_flow, queue_factory_for
+from repro.transport.registry import get_protocol, open_flow
 from repro.workloads.bulk import concurrent_flows, staggered_flows
 from repro.workloads.incast import IncastCoordinator
 from repro.workloads.onoff import OnOffSource, PacedSource
 
 
 def make_topo(proto="tcp", n=2):
-    topo = dumbbell(n_senders=n, queue_factory=queue_factory_for(proto, 256_000))
-    configure_network(topo.network, proto)
+    topo = dumbbell(n_senders=n, queue_factory=get_protocol(proto).port_queue_factory(256_000))
+    get_protocol(proto).install(topo.network)
     return topo
 
 

@@ -111,7 +111,15 @@ class DelayArbiter:
         acquisition probes returning stale windows).  Sub-MSS windows are
         rounded up to one MSS at release, as in the paper.
         """
-        self._refresh_credit()
+        # _refresh_credit, inlined: every RMA ACK through the port lands
+        # here (keep the two in step).
+        now = self._sim.now
+        elapsed = now - self._last_update_ns
+        if elapsed > 0:
+            credit = self.credit + self.rate_bps * elapsed / (8 * SECOND)
+            cap = self.cap
+            self.credit = cap if cap < credit else credit  # min(credit, cap)
+            self._last_update_ns = now
         cost = self._cost_of(ack)
         if ack.window >= self.mss:
             # Paper rule: an ACK already carrying at least one MSS passes
@@ -156,9 +164,6 @@ class DelayArbiter:
         frames = -(-int(payload) // self.mss)
         return min(payload + frames * self.per_packet_overhead, self.cap)
 
-    def _head_cost(self) -> float:
-        return self._cost_of(self._queue[0])
-
     # Float headroom for credit comparisons: without it a deficit of a few
     # ULPs truncates to a zero-delay reschedule and the release loop spins
     # at one simulated instant forever.
@@ -167,7 +172,7 @@ class DelayArbiter:
     def _schedule_release(self) -> None:
         if self._pending is not None or not self._queue:
             return
-        deficit = self._head_cost() - self.credit
+        deficit = self._cost_of(self._queue[0]) - self.credit
         if deficit <= self._EPSILON:
             delay_ns = 0
         else:
@@ -181,7 +186,7 @@ class DelayArbiter:
         self._refresh_credit()
         if not self._queue:
             return
-        cost = self._head_cost()
+        cost = self._cost_of(self._queue[0])
         if self.credit < cost - self._EPSILON:
             self._schedule_release()
             return

@@ -40,6 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..net.node import Switch
     from ..net.port import Port
 
+# Floor of the live stamp bound (one eighth of an MSS).
+_MIN_LIVE_BOUND = float(MSS) / 8.0
+
 
 def _quantize_window(window: float) -> float:
     """Grant whole packets above one MSS; keep sub-MSS grants fractional.
@@ -148,10 +151,16 @@ class TfcPortAgent:
     # Forward (data) direction
     # ------------------------------------------------------------------
     def on_transit(self, packet: Packet) -> None:
-        """Process a packet about to be queued on this port."""
+        """Process a packet about to be queued on this port.
+
+        Runs once per packet per hop, so the arithmetic below spells out
+        ``max``/``min``/:func:`_quantize_window` as comparisons (same
+        values, same tie-breaking: ``max(a, b)`` keeps ``a`` unless
+        ``b > a``) instead of paying a builtin call for each.
+        """
         now = self.sim.now
         self.arrived_bytes += packet.frame_size
-        if packet.is_ack and packet.payload == 0 and not packet.syn:
+        if packet.is_ack and packet._payload == 0 and not packet.syn:
             return  # pure reverse-direction ACK: counts bytes, nothing else
 
         if packet.fin and packet.flow_key == self.delimiter_key:
@@ -159,7 +168,15 @@ class TfcPortAgent:
             self.delimiter_key = None
             self.miss_count = 0
 
-        self._check_delimiter_silence(now, packet)
+        # Delimiter silence can only change something once the slot has
+        # outrun the next miss threshold or two misses are already
+        # counted; skip the call otherwise.
+        if self.delimiter_key is not None and (
+            self.miss_count >= 2
+            or now - self.slot_start_ns
+            > (1 << (self.miss_count + 1)) * self.rtt_last_ns
+        ):
+            self._check_delimiter_silence(now, packet)
 
         # Header modifier: the minimum window along the path wins.  The
         # stamp is additionally bounded by a live estimate T / E_so_far:
@@ -172,16 +189,32 @@ class TfcPortAgent:
         # same way: e_smooth halves per slot, so a straggler's window at
         # most doubles per slot instead of jumping to the whole token
         # value the instant the count reads 1.
-        denominator = max(self.effective_flows, self.e_smooth / 2.0, 1.0)
-        live_bound = _quantize_window(
-            max(self.tokens / denominator, float(MSS) / 8.0)
-        )
+        # denominator = max(effective_flows, e_smooth / 2, 1.0)
+        denominator = self.effective_flows
+        half_smooth = self.e_smooth / 2.0
+        if half_smooth > denominator:
+            denominator = half_smooth
+        if 1.0 > denominator:
+            denominator = 1.0
+        tokens = self.tokens
+        # live_bound = _quantize_window(max(tokens / denominator, MSS / 8))
+        live_bound = tokens / denominator
+        if _MIN_LIVE_BOUND > live_bound:
+            live_bound = _MIN_LIVE_BOUND
+        if live_bound >= MSS:
+            live_bound = float(int(live_bound // MSS) * MSS)
+        # stamp = min(window, live_bound)
+        stamp = self.window
+        if live_bound < stamp:
+            stamp = live_bound
         # A weight-w flow receives w shares of the per-slot allocation.
-        weight = max(packet.weight, 1)
-        stamp = min(self.window, live_bound)
+        weight = packet.weight
         if weight > 1:
-            stamp = _quantize_window(stamp * weight)
-        if packet.rm:
+            stamp *= weight
+            if stamp >= MSS:
+                stamp = float(int(stamp // MSS) * MSS)
+        rm = packet.rm
+        if rm:
             # Token-budget accounting: only RM packets carry a window back
             # to their sender (the receiver copies it onto the RMA ACK),
             # so each RM stamp is a real grant.  The slot's grants may not
@@ -189,13 +222,17 @@ class TfcPortAgent:
             # the leftover (sub-MSS) grant is paced by the delay arbiter.
             # Without this, a flash crowd of probes inside one slot is
             # granted the harmonic ladder T/1 + T/2 + T/3 + ...
-            remaining = self.tokens - self.granted_bytes
-            stamp = min(stamp, max(remaining, 64.0))
+            # stamp = min(stamp, max(tokens - granted_bytes, 64.0))
+            remaining = tokens - self.granted_bytes
+            if 64.0 > remaining:
+                remaining = 64.0
+            if remaining < stamp:
+                stamp = remaining
             self.granted_bytes += stamp
         if packet.window > stamp:
             packet.window = stamp
 
-        if packet.rm:
+        if rm:
             self._on_round_mark(packet, now)
 
     def _on_round_mark(self, packet: Packet, now: int) -> None:

@@ -140,6 +140,12 @@ class InvariantMonitor:
                 if agent is not None:
                     agents.append(agent)
         self.agents = agents
+        # Window updates are checked only for these agents: a set, since
+        # the ownership test runs at every slot close of every agent.
+        self._owned = set(agents)
+        # Every port the queue-capacity sweep inspects (each sweep reads
+        # port.queue afresh: fault injection may swap the discipline).
+        self._ports = [port for node in network.nodes for port in node.ports]
         self._attach()
 
     # ------------------------------------------------------------------
@@ -243,21 +249,21 @@ class InvariantMonitor:
             self._checks_counter.inc()
 
     def _on_window_update(self, agent: "TfcPortAgent" = None, **_kw) -> None:
-        if agent is None or agent not in self.agents:
+        if agent not in self._owned:  # also None: no agent given
             return
         self._count_check()
         self._check_agent(agent)
 
     def _check_agent(self, agent: "TfcPortAgent") -> None:
+        # Location strings are built only for a recorded violation.
         params = agent.params
-        location = self._locate(agent)
         bdp = bandwidth_delay_product(agent.rate_bps, agent.rttb_ns)
         low = params.min_token_bdp_factor * bdp * (1.0 - self.tolerance) - MSS
         high = params.max_token_bdp_factor * bdp * (1.0 + self.tolerance) + MSS
         if not low <= agent.tokens <= high:
             self._violation(
                 "token_clamps",
-                location,
+                self._locate(agent),
                 f"token value escaped its "
                 f"[{params.min_token_bdp_factor}, "
                 f"{params.max_token_bdp_factor}] x c x rtt_b clamps",
@@ -271,7 +277,7 @@ class InvariantMonitor:
         if agent.published_e < 1:
             self._violation(
                 "effective_flows",
-                location,
+                self._locate(agent),
                 "published effective-flow count below 1",
                 agent=agent,
                 published_e=agent.published_e,
@@ -279,7 +285,7 @@ class InvariantMonitor:
         if agent.effective_flows < 0:
             self._violation(
                 "effective_flows",
-                location,
+                self._locate(agent),
                 "live effective-flow counter went negative",
                 agent=agent,
                 effective_flows=agent.effective_flows,
@@ -287,20 +293,20 @@ class InvariantMonitor:
         if agent.window < 0:
             self._violation(
                 "window_nonnegative",
-                location,
+                self._locate(agent),
                 "published window is negative",
                 agent=agent,
                 window=agent.window,
             )
-        self._check_arbiter(agent, location)
+        self._check_arbiter(agent)
 
-    def _check_arbiter(self, agent: "TfcPortAgent", location: str) -> None:
+    def _check_arbiter(self, agent: "TfcPortAgent") -> None:
         arbiter = agent.delay_arbiter
         bound = arbiter.cap * (1.0 + self.tolerance) + MSS
         if not -bound <= arbiter.credit <= bound:
             self._violation(
                 "delay_arbiter_credit",
-                location,
+                self._locate(agent),
                 "delay-arbiter credit escaped its [-cap, +cap] bound",
                 agent=agent,
                 credit=arbiter.credit,
@@ -311,20 +317,19 @@ class InvariantMonitor:
         """Periodic checks that are not tied to a slot boundary."""
         if self._stopped:
             return
-        for node in self.network.nodes:
-            for port in node.ports:
-                queue = port.queue
-                if queue.byte_length > queue.capacity_bytes:
-                    self._violation(
-                        "queue_capacity",
-                        f"{node.name}[{port.index}]",
-                        "queue occupancy exceeds configured capacity",
-                        port=port,
-                        byte_length=queue.byte_length,
-                        capacity_bytes=queue.capacity_bytes,
-                    )
+        for port in self._ports:
+            queue = port.queue
+            if queue.byte_length > queue.capacity_bytes:
+                self._violation(
+                    "queue_capacity",
+                    f"{port.node.name}[{port.index}]",
+                    "queue occupancy exceeds configured capacity",
+                    port=port,
+                    byte_length=queue.byte_length,
+                    capacity_bytes=queue.capacity_bytes,
+                )
         for agent in self.agents:
-            self._check_arbiter(agent, self._locate(agent))
+            self._check_arbiter(agent)
         self._count_check()
         self.sim.schedule(self.sweep_interval_ns, self._sweep)
 

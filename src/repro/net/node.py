@@ -93,7 +93,15 @@ class Switch(Node):
 
     routing = None  # RoutingPolicy instance, or None for fixed next hop
 
-    def handle_packet(self, packet: Packet, in_port_index: int) -> None:
+    def receive(self, packet: Packet, in_port_index: int) -> None:
+        """Handle a fully received frame: reverse-path agent, then forward.
+
+        Overrides :meth:`Node.receive` with the ``handle_packet`` step
+        folded in, so each arrival costs one call frame before
+        :meth:`forward`.
+        """
+        self.rx_packets += 1
+        self.rx_bytes += packet.frame_size
         ports = self.ports
         if 0 <= in_port_index < len(ports):
             agent = ports[in_port_index].agent

@@ -178,7 +178,8 @@ class Port:
 
     def send(self, packet: Packet) -> bool:
         """Queue ``packet`` for transmission; False if drop-tail rejected it."""
-        if not self.queue.enqueue(packet):
+        queue = self.queue
+        if not queue.enqueue(packet):
             tracer = self.tracer
             if tracer is not None:
                 if tracer.active(PACKET_DROP):
@@ -186,8 +187,26 @@ class Port:
                 else:
                     tracer.bump(PACKET_DROP)
             return False
-        if not self._busy and not self.paused:
-            self._start_next()
+        if self._busy or self.paused:
+            return True
+        # Idle port: start the next frame here rather than through
+        # _start_next (one call fewer on the per-packet path; keep the
+        # two in step).  The discipline picks the frame, which need not
+        # be ``packet``.
+        frame = queue.dequeue()
+        if frame is None:
+            return True
+        self._busy = True
+        on_dequeue = self.on_dequeue
+        if on_dequeue is not None:
+            on_dequeue(frame)
+        size = frame.frame_size
+        cache = self._tx_cache
+        tx_ns = cache.get(size)
+        if tx_ns is None:
+            tx_ns = transmission_time_ns(size, self.link.effective_rate_bps)
+            cache[size] = tx_ns
+        self._sim.schedule(tx_ns, self._finish_tx, frame)
         return True
 
     def pause(self) -> None:
@@ -220,6 +239,12 @@ class Port:
             self._start_next()
 
     def _start_next(self) -> None:
+        """Start serialising the next eligible frame, or go idle.
+
+        The service-restart path (:meth:`resume`, :meth:`kick`); the
+        per-packet paths :meth:`send` and :meth:`_finish_tx` inline the
+        same steps.
+        """
         if self.paused:
             self._busy = False
             return
@@ -242,17 +267,36 @@ class Port:
         # One scheduled delivery straight to the peer node: the propagation
         # delay is static, so the Link.carry -> schedule(_arrive) hop adds
         # nothing but call overhead on this per-frame path.
+        size = packet.frame_size
         self.tx_packets += 1
-        self.tx_bytes += packet.frame_size
+        self.tx_bytes += size
         link = self.link
+        sim = self._sim
         if link.up:
             packet.hops += 1
-            self._sim.schedule(
+            sim.schedule(
                 link.delay_ns, link.dst_node.receive, packet, link.dst_port_index
             )
         else:
             link.faulted_frames += 1
-        self._start_next()
+        # Start the next frame inline (as _start_next does; keep in step).
+        if self.paused:
+            self._busy = False
+            return
+        frame = self.queue.dequeue()
+        if frame is None:
+            self._busy = False
+            return
+        on_dequeue = self.on_dequeue
+        if on_dequeue is not None:
+            on_dequeue(frame)
+        size = frame.frame_size
+        cache = self._tx_cache
+        tx_ns = cache.get(size)
+        if tx_ns is None:
+            tx_ns = transmission_time_ns(size, link.effective_rate_bps)
+            cache[size] = tx_ns
+        sim.schedule(tx_ns, self._finish_tx, frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.node.name}[{self.index}] q={self.queue.byte_length}B>"

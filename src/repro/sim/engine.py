@@ -9,16 +9,26 @@ the backends are interchangeable bit-for-bit, and the golden-determinism
 tests plus a cross-backend differential fuzz enforce it.
 
 The kernel is deliberately tiny: components interact only through
-``schedule`` / ``cancel`` and the read-only ``now`` property.  Everything
-network-specific lives in :mod:`repro.net` and above.
+``schedule`` / ``cancel`` and the ``now`` clock.  ``now`` is a plain slot
+attribute that only the run loops write (components read it dozens of
+times per event, so a property call there is measurable); treat it as
+read-only.  Everything network-specific lives in :mod:`repro.net` and
+above.
 
 Backend selection (see :mod:`repro.sim.sched` for the data structures):
 
 * ``Simulator(scheduler="heap" | "calendar" | "wheel")`` pins a backend.
 * ``Simulator(scheduler="adaptive")`` — the default — starts on the heap
-  (lowest constants for small populations) and migrates the live event
-  population to the calendar queue once it crosses
-  ``ADAPTIVE_SWITCH_THRESHOLD``, where amortised O(1) wins.
+  (lowest constants for small populations) and migrates the pending
+  population to the calendar queue once the live-event counter reaches
+  ``ADAPTIVE_SWITCH_THRESHOLD``, where amortised O(1) wins.  The counter
+  is settled for executed events only when :meth:`Simulator.run`
+  returns, so inside one ``run()`` call it reads "live at the start plus
+  net ``schedule()`` calls since" (schedules minus cancels): a long
+  ``run()`` migrates after about 2,048 net schedules even when far fewer
+  events are ever pending at once (the 16-flow ``tfc-dumbbell-bulk``
+  benchmark workload migrates at t ≈ 2.4 ms with 26 events pending, and
+  never holds more than 31).
 * The ``REPRO_SCHEDULER`` environment variable overrides the default for
   simulators built without an explicit ``scheduler=`` (the experiment
   runner's ``--scheduler`` flag and the CI backend shards use this).
@@ -39,7 +49,9 @@ pinned workloads, see ``repro.perf``):
   and cancel it later — use :class:`repro.sim.timers.Timer`, which clears
   its handle before the callback runs, for restartable semantics.
 * Live (non-cancelled) events are counted incrementally, so
-  :attr:`pending_events` is O(1) on every backend.
+  :attr:`pending_events` is O(1) on every backend — and exact between
+  ``run()`` calls; inside one it also counts the events that call has
+  already executed (see the adaptive policy above).
 * When more than half a backend's store is dead (cancelled timers that
   were never popped — long-RTO transports generate these in bulk) it is
   compacted in place, bounding both memory and ordering work.
@@ -70,10 +82,14 @@ Callback = Callable[..., None]
 _NO_HORIZON = 1 << 62
 _NO_LIMIT = 1 << 62
 
-# The adaptive policy migrates heap -> calendar when this many live
-# events are pending.  Dumbbell-scale runs (tens to hundreds of live
-# events) stay on the heap; fleet-scale runs (leaf-spine, large incast,
-# timer-churn) cross it early and stay on the calendar queue.
+# The adaptive policy migrates heap -> calendar when the live-event
+# counter reaches this value.  Inside one run() call that counter is not
+# the pending population: run() subtracts the events it executed only
+# when it returns, so the trigger fires after about this many *net*
+# schedule() calls (schedules minus cancels) within one run().  Any run
+# long enough to schedule a few thousand events therefore migrates,
+# dumbbell-scale ones included; fleet-scale runs (leaf-spine, large
+# incast, timer-churn) cross it early either way.
 ADAPTIVE_SWITCH_THRESHOLD = 2048
 
 HeapEntry = Tuple[int, int, "Event"]
@@ -156,7 +172,7 @@ class Simulator:
     # Slots measurably speed up schedule()/run(): every per-event
     # attribute touch skips the instance dict (see DESIGN.md §6d).
     __slots__ = (
-        "_now",
+        "now",
         "_seq",
         "_free",
         "_live",
@@ -181,7 +197,10 @@ class Simulator:
         # field applies when no explicit ``scheduler=`` is given.
         if scheduler is None and config is not None:
             scheduler = config.scheduler
-        self._now: int = 0
+        # Current simulation time in integer nanoseconds.  A plain slot,
+        # not a property (components read it dozens of times per event);
+        # only the run loops write it.
+        self.now: int = 0
         self._seq: int = 0
         self._free: List[Event] = []
         self._live: int = 0
@@ -235,14 +254,9 @@ class Simulator:
     # Clock
     # ------------------------------------------------------------------
     @property
-    def now(self) -> int:
-        """Current simulation time in integer nanoseconds."""
-        return self._now
-
-    @property
     def now_seconds(self) -> float:
         """Current simulation time in float seconds (reporting only)."""
-        return to_seconds(self._now)
+        return to_seconds(self.now)
 
     @property
     def events_processed(self) -> int:
@@ -251,7 +265,12 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1)."""
+        """Number of live (non-cancelled) events still queued.  O(1).
+
+        Exact only between :meth:`run` calls: read from inside a
+        callback, it still includes the events the current ``run()``
+        has executed, which it settles only when it returns.
+        """
         return self._live
 
     @property
@@ -279,7 +298,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay_ns`` from now."""
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns}ns in the past")
-        time_ns = self._now + delay_ns
+        time_ns = self.now + delay_ns
         seq = self._seq
         self._seq = seq + 1
         live = self._live + 1
@@ -346,11 +365,11 @@ class Simulator:
 
     def schedule_at(self, time_ns: int, callback: Callback, *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time_ns``."""
-        if time_ns < self._now:
+        if time_ns < self.now:
             raise SimulationError(
-                f"cannot schedule at {time_ns}ns, now is {self._now}ns"
+                f"cannot schedule at {time_ns}ns, now is {self.now}ns"
             )
-        return self.schedule(time_ns - self._now, callback, *args)
+        return self.schedule(time_ns - self.now, callback, *args)
 
     def _adapt(self) -> None:
         """Migrate the live population heap -> calendar (adaptive policy).
@@ -412,7 +431,7 @@ class Simulator:
                         if entry[0] > horizon:
                             break
                         _heappop(heap)
-                        self._now = entry[0]
+                        self.now = entry[0]
                         callback = event.callback
                         args = event.args
                         # Retire the handle before the callback runs: a
@@ -443,7 +462,7 @@ class Simulator:
                                     bucket.pop()
                                     cal._size -= 1
                                     cal._floor = time_ns
-                                    self._now = time_ns
+                                    self.now = time_ns
                                     callback = event.callback
                                     args = event.args
                                     event.cancelled = True
@@ -456,7 +475,7 @@ class Simulator:
                         event = cal.pop_due(horizon)
                         if event is None:
                             break
-                        self._now = event.time
+                        self.now = event.time
                         callback = event.callback
                         args = event.args
                         event.cancelled = True
@@ -487,7 +506,7 @@ class Simulator:
                                 break
                             due.pop()
                             wheel._size -= 1
-                            self._now = time_ns
+                            self.now = time_ns
                             callback = event.callback
                             args = event.args
                             event.cancelled = True
@@ -506,7 +525,7 @@ class Simulator:
                         event = pop_due(horizon)
                         if event is None:
                             break
-                        self._now = event.time
+                        self.now = event.time
                         callback = event.callback
                         args = event.args
                         event.cancelled = True
@@ -525,21 +544,21 @@ class Simulator:
             # per-event attribute writes are measurable at this call rate.
             self._events_processed += processed
             self._live -= processed
-        if until_ns is not None and self._now < until_ns:
+        if until_ns is not None and self.now < until_ns:
             # Park the clock at the horizon unless a live event remains
             # inside it (only possible when max_events stopped us early).
             next_live = self._sched.next_live_time()
             if next_live is None or next_live > until_ns:
-                self._now = until_ns
+                self.now = until_ns
         return processed
 
     def run_for(self, duration_ns: int) -> int:
         """Run for ``duration_ns`` of simulated time from the current clock."""
-        return self.run(until_ns=self._now + duration_ns)
+        return self.run(until_ns=self.now + duration_ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Simulator t={self._now / SECOND:.6f}s"
+            f"<Simulator t={self.now / SECOND:.6f}s"
             f" pending={self._live} done={self._events_processed}"
             f" backend={self._sched.name}>"
         )

@@ -43,7 +43,9 @@ class Timer:
 
     def start(self, delay_ns: int, *args: Any) -> None:
         """(Re)arm the timer ``delay_ns`` from now, replacing any deadline."""
-        self.stop()
+        event = self._event
+        if event is not None:
+            event.cancel()
         self._event = self._sim.schedule(delay_ns, self._fire, *args)
 
     def start_if_idle(self, delay_ns: int, *args: Any) -> None:

@@ -121,6 +121,24 @@ def test_silent_delimiter_reelected_after_backoff():
     assert agent.delimiter_key == pkt.flow_key
 
 
+def test_misses_counted_on_unmarked_packet_arm_reelection():
+    """Two misses counted while an unmarked packet passes still arm
+    re-election: the next foreign RM packet takes over even though the
+    slot has not reached the third miss threshold."""
+    net, agent, a, b = build_agent()
+    agent.on_transit(data_packet(a, b, sport=1, rm=True))
+    rtt_last = agent.rtt_last_ns
+    advance(net, 5 * rtt_last)  # past 4 x rtt_last: two misses
+    agent.on_transit(data_packet(a, b, sport=2))
+    assert agent.miss_count == 2
+    assert agent.delimiter_key == (a.node_id, b.node_id, 1, 200)
+    advance(net, rtt_last)  # 6 x rtt_last: still short of the third
+    pkt = data_packet(a, b, sport=3, rm=True)
+    agent.on_transit(pkt)
+    assert agent.miss_count == 0
+    assert agent.delimiter_key == pkt.flow_key
+
+
 # ----------------------------------------------------------------------
 # rtt_b measurement
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.faults import InvariantMonitor, InvariantViolation
 from repro.net.packet import MSS, Packet
 from repro.net.pfc import protocol_agent
 from repro.net.topology import dumbbell
-from repro.sim.trace import INVARIANT_VIOLATION
+from repro.sim.trace import INVARIANT_VIOLATION, TFC_WINDOW_UPDATE
 from repro.sim.units import milliseconds
 from repro.transport.registry import open_flow
 
@@ -135,3 +135,48 @@ def test_violation_report_is_readable():
     assert "effective_flows" in report
     assert "-3" in report
     assert "location" in report
+
+
+def test_sweep_reports_arbiter_credit_breach_with_identity():
+    """The periodic sweep (not only the slot-close check) catches a
+    delay-arbiter credit outside ``[-cap, +cap]`` and names the port."""
+    topo, _ = tfc_scenario()
+    topo.network.run_for(milliseconds(2))
+    monitor = InvariantMonitor(topo.network, raise_on_violation=False)
+    agent = protocol_agent(topo.bottleneck().agent)
+    agent.delay_arbiter.credit = -10 * agent.delay_arbiter.cap
+    checks = monitor.checks_run
+    monitor._sweep()
+    assert monitor.checks_run == checks + 1
+    (violation,) = monitor.violations
+    port = agent.port
+    assert violation.invariant == "delay_arbiter_credit"
+    assert violation.location == (
+        f"{port.node.name}[{port.index}]->{port.peer_node.name}"
+    )
+    assert violation.node == port.node.name
+    assert violation.port_index == port.index
+    assert violation.slot == agent.slot_index
+    assert violation.time_ns == topo.network.sim.now
+    assert violation.context["credit"] == agent.delay_arbiter.credit
+
+
+def test_window_update_from_unowned_agent_is_ignored():
+    """A ``tfc.window_update`` from an agent the monitor does not watch
+    (another network's, here) runs no check, even if that agent is
+    wildly out of its clamps."""
+    topo, _ = tfc_scenario()
+    monitor = InvariantMonitor(topo.network, raise_on_violation=False)
+    stranger_topo, _ = tfc_scenario(seed=1)
+    stranger = protocol_agent(stranger_topo.bottleneck().agent)
+    stranger.tokens = 1e12
+    stranger.effective_flows = -5
+    assert stranger not in monitor.agents
+    checks = monitor.checks_run
+    topo.network.tracer.emit(TFC_WINDOW_UPDATE, agent=stranger)
+    topo.network.tracer.emit(TFC_WINDOW_UPDATE)  # no agent at all
+    assert monitor.checks_run == checks
+    assert monitor.violations == []
+    own = monitor.agents[0]
+    topo.network.tracer.emit(TFC_WINDOW_UPDATE, agent=own)
+    assert monitor.checks_run == checks + 1

@@ -343,3 +343,113 @@ def test_fat_tree_policies_self_identical(policy):
         )
 
     assert run() == run()
+
+
+# The multi-tenant mix of scenarios/multi-tenant-mix.yaml, pinned inline
+# (the committed document may evolve) and switched to ECMP, so this golden
+# covers the multi-path forwarding path with the invariant monitor's
+# transit wrappers, window-update hook and periodic sweep all attached.
+_FATTREE_MIX = {
+    "name": "golden-fattree-mix",
+    "duration_ms": 2.0,
+    "drain_ms": 0.5,
+    "seed": 31,
+    "routing": "ecmp",
+    "telemetry": "counters",
+    "topology": {
+        "kind": "fat_tree",
+        "k": 4,
+        "rate_bps": 1_000_000_000,
+        "link_delay_ns": 5000,
+        "buffer_bytes": 256_000,
+    },
+    "tenants": [
+        {
+            "name": "search",
+            "transport": "tfc",
+            "hosts": {"first": 8},
+            "workload": {
+                "kind": "empirical",
+                "params": {
+                    "query_rate_per_s": 2000.0,
+                    "query_fanin": 4,
+                    "short_rate_per_s": 500.0,
+                    "background_rate_per_s": 300.0,
+                },
+            },
+        },
+        {
+            "name": "training",
+            "transport": "tfc",
+            "hosts": {"range": [8, 12]},
+            "workload": {
+                "kind": "ml_allreduce",
+                "params": {
+                    "mode": "ring",
+                    "chunk_bytes": 24000,
+                    "iterations": 3,
+                    "compute_gap_us": 40.0,
+                },
+            },
+        },
+        {
+            "name": "storage",
+            "transport": "tfc",
+            "hosts": {"range": [12, 16]},
+            "workload": {
+                "kind": "storage",
+                "params": {
+                    "mode": "fanout",
+                    "replicas": 2,
+                    "write_rate_per_s": 1500.0,
+                    "value_bytes": 48000,
+                },
+            },
+        },
+    ],
+}
+
+
+def test_golden_fattree_mix_ecmp_with_invariant_monitor(monkeypatch):
+    """A k=4 ECMP fat-tree carrying search, all-reduce and storage
+    tenants, run through the scenario layer with its invariant monitor
+    attached: event count, tracer counters, monitor checks, per-port
+    state and result scalars are pinned bit-for-bit."""
+    from repro.faults import InvariantMonitor
+    from repro.obs import drain_pending
+    from repro.scenario import load_scenario_dict, run_scenario
+    from repro.scenario import run as scenario_run
+
+    monitors = []
+
+    class RecordingMonitor(InvariantMonitor):
+        def __init__(self, network, **kwargs):
+            super().__init__(network, **kwargs)
+            monitors.append(self)
+
+    monkeypatch.setattr(scenario_run, "InvariantMonitor", RecordingMonitor)
+    result = run_scenario(load_scenario_dict(_FATTREE_MIX))
+    (monitor,) = monitors
+    net = monitor.network
+
+    assert net.sim.events_processed == 14110
+    assert net.sim.now == 2_500_000
+    assert dict(sorted(net.tracer.counters.items())) == {
+        "tfc.ack_delayed": 5,
+        "tfc.delimiter_elected": 95,
+        "tfc.window_update": 358,
+        "transport.flow_complete": 42,
+    }
+    assert result["invariant_violations"] == 0.0
+    assert monitor.violations == []
+    assert len(monitor.agents) == 80
+    # One check per window update of a monitored agent, one per sweep.
+    assert monitor.checks_run == 408
+    assert result["flows_completed"] == 42.0
+    assert result["jain_tenants"] == 0.8413667270946429
+    assert _digest(_port_state(net)) == "49ed25580ca187eb"
+    assert (
+        _digest({k: repr(v) for k, v in result.scalars.items()})
+        == "ef87a37e3b53ee37"
+    )
+    drain_pending()

@@ -26,7 +26,7 @@ import pytest
 
 from repro.experiments.common import build_topology
 from repro.faults import FaultInjector
-from repro.net.node import Node
+from repro.net.node import Node, Switch
 from repro.net.pfc import PfcParams
 from repro.net.queues import BernoulliLoss
 from repro.net.topology import dumbbell, fat_tree
@@ -261,14 +261,18 @@ def _observe(scenario, path: str):
     """Run ``scenario`` on one dispatch path; return what it observed."""
     name, _, generic = path.partition("/")
     sink = []
-    original = Node.receive
 
-    def logged(self, packet, port_index):
-        sink.append((self.sim._now, self.node_id, port_index, packet.size))
-        return original(self, packet, port_index)
+    def logging(original):
+        def logged(self, packet, port_index):
+            sink.append((self.sim.now, self.node_id, port_index, packet.size))
+            return original(self, packet, port_index)
+
+        return logged
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Node, "receive", logged)
+        # Switches override receive (one frame per arrival); log both.
+        patch.setattr(Node, "receive", logging(Node.receive))
+        patch.setattr(Switch, "receive", logging(Switch.receive))
         patch.setenv("REPRO_SCHEDULER", name)
         if generic:
             patch.setitem(sched_module.SCHEDULER_BACKENDS, name, _GENERIC[name])
